@@ -7,7 +7,7 @@ cd "$(dirname "$0")"
 
 cargo build --release --workspace
 cargo test -q --workspace
-cargo clippy --all-targets -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 # Frontend perf smoke: re-measure the parse+CPG pass and fail on a >20%
 # throughput regression against the last `interned` point recorded in

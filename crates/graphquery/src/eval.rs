@@ -629,10 +629,10 @@ mod proptests {
                     }
                 }
             }
-            for i in 0..n {
-                for j in 0..n {
+            for (i, row) in reach.iter().enumerate() {
+                for (j, &reachable) in row.iter().enumerate() {
                     prop_assert_eq!(
-                        reach[i][j],
+                        reachable,
                         star_pairs.contains(&(i as u32, j as u32)),
                         "closure mismatch at ({}, {})", i, j
                     );

@@ -528,32 +528,9 @@ fn check_version(value: &Value) -> Result<(), AnalysisError> {
     }
 }
 
-/// Escape a string for embedding in a JSON document.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// FNV-1a content hash — the cache key of parsed CPGs.
-fn content_hash(source: &str) -> u64 {
-    let mut hash = 0xcbf29ce484222325u64;
-    for byte in source.bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    hash
-}
+/// Escape a string for embedding in a JSON document (the workspace's one
+/// escaper, re-exported under the name the wire-format callers use).
+pub use telemetry::json::escape as escape_json;
 
 /// A small LRU cache keyed by content hash, shared (behind the engine's
 /// `Mutex`) between all workers of the service. Instantiated once over
@@ -850,24 +827,16 @@ impl AnalysisEngine {
         }
         // FNV-1a over kind, the effective detector subset and the
         // source, with NUL separators so field boundaries cannot alias.
-        let mut hash = 0xcbf29ce484222325u64;
-        let mut eat = |bytes: &[u8]| {
-            for byte in bytes {
-                hash ^= *byte as u64;
-                hash = hash.wrapping_mul(0x100000001b3);
-            }
-        };
-        eat(kind.as_bytes());
-        eat(&[0]);
+        let mut hash = telemetry::fnv1a(kind.as_bytes());
+        hash = telemetry::fnv1a_extend(hash, &[0]);
         if let Some(detectors) = detectors {
             for d in detectors {
-                eat(d.name().as_bytes());
-                eat(&[0]);
+                hash = telemetry::fnv1a_extend(hash, d.name().as_bytes());
+                hash = telemetry::fnv1a_extend(hash, &[0]);
             }
         }
-        eat(&[0]);
-        eat(source.as_bytes());
-        Some(hash)
+        hash = telemetry::fnv1a_extend(hash, &[0]);
+        Some(telemetry::fnv1a_extend(hash, source.as_bytes()))
     }
 
     fn cached_response(&self, key: u64) -> Option<AnalysisResponse> {
@@ -912,7 +881,7 @@ impl AnalysisEngine {
     fn cpg_for(&self, source: &str) -> Result<Arc<Cpg>, AnalysisError> {
         static HITS: telemetry::Counter = telemetry::Counter::new("api.cache_hits");
         static MISSES: telemetry::Counter = telemetry::Counter::new("api.cache_misses");
-        let key = content_hash(source);
+        let key = telemetry::fnv1a(source.as_bytes());
         // The cache is a pure performance layer holding immutable `Arc<Cpg>`
         // values, so a lock poisoned by a panicking request stays usable —
         // recover the guard instead of propagating the poison forever.
@@ -1035,12 +1004,6 @@ mod tests {
             .with_detector_names(&["NoSuchDetector"])
             .unwrap_err();
         assert_eq!(err.code(), "query");
-    }
-
-    #[test]
-    fn escape_json_handles_specials() {
-        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape_json("\u{1}"), "\\u0001");
     }
 
     #[test]

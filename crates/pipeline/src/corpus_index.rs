@@ -733,15 +733,6 @@ impl FrontCache {
         self.capacity > 0 && !faultinject::active()
     }
 
-    fn key(bytes: &[u8]) -> u64 {
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for byte in bytes {
-            hash ^= *byte as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash
-    }
-
     fn get_exact(&self, source: &str) -> Option<Arc<Vec<CloneMatch>>> {
         if !self.active() {
             return None;
@@ -750,7 +741,7 @@ impl FrontCache {
             .exact
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .get(Self::key(source.as_bytes()));
+            .get(telemetry::fnv1a(source.as_bytes()));
         if hit.is_some() {
             self.exact_hits.fetch_add(1, Ordering::Relaxed);
             FRONT_EXACT_HITS.incr();
@@ -767,7 +758,7 @@ impl FrontCache {
             .near
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .get(Self::key(fp.as_str().as_bytes()));
+            .get(telemetry::fnv1a(fp.as_str().as_bytes()));
         if hit.is_some() {
             self.near_hits.fetch_add(1, Ordering::Relaxed);
             FRONT_NEAR_HITS.incr();
@@ -786,11 +777,11 @@ impl FrontCache {
         self.exact
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .insert(Self::key(source.as_bytes()), Arc::clone(&matches));
+            .insert(telemetry::fnv1a(source.as_bytes()), Arc::clone(&matches));
         self.near
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .insert(Self::key(fp.as_str().as_bytes()), matches);
+            .insert(telemetry::fnv1a(fp.as_str().as_bytes()), matches);
     }
 
     fn invalidate(&self) {

@@ -23,6 +23,7 @@ use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::Path;
 use std::sync::Mutex;
+use telemetry::json::escape;
 
 /// One access-log record, already resolved to strings.
 #[derive(Debug, Clone)]
@@ -142,19 +143,6 @@ fn render_line(rec: &AccessRecord, slow: bool) -> String {
     )
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,7 +213,7 @@ mod tests {
     }
 
     #[test]
-    fn escapes_hostile_paths() {
+    fn hostile_paths_stay_valid_json() {
         let main = Buffer::default();
         let log = AccessLog::from_sinks(Box::new(main.clone()), None, 1000);
         let mut rec = record(10, 404, "error");

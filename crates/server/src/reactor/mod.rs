@@ -1,5 +1,5 @@
-//! Sharded epoll reactor (Linux only): the event-driven transport
-//! behind the daemon. One acceptor thread distributes connections
+//! Sharded epoll reactor: the daemon's only transport (which is why the
+//! daemon is Linux-only). One acceptor thread distributes connections
 //! round-robin to N shard threads; each shard owns its connections
 //! outright — non-blocking reads into growable buffers, the
 //! incremental zero-copy parser from [`crate::http`], keep-alive and
@@ -7,9 +7,6 @@
 //! strictly in request order. Analysis work runs on per-shard worker
 //! pools; finished responses come back through the shard's
 //! [`ShardInbox`].
-//!
-//! On non-Linux targets the daemon falls back to the original blocking
-//! accept-then-dispatch loop (`Server::run_blocking`).
 
 mod conn;
 mod shard;

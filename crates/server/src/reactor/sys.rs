@@ -87,30 +87,27 @@ impl Epoll {
         Ok(())
     }
 
-    /// Wait for events, retrying on `EINTR` (signals are handled by the
-    /// installed flag-setting handlers; an interrupted wait just means
-    /// "look at the shutdown flag sooner"). `timeout_ms < 0` blocks
-    /// indefinitely. Returns the filled prefix of `events`.
+    /// Wait for events. `timeout_ms < 0` blocks indefinitely. Returns
+    /// the filled prefix of `events`; a wait interrupted by a signal
+    /// (`EINTR`) returns an empty slice instead of an error, so the
+    /// caller re-checks the shutdown flag the installed handlers set
+    /// sooner rather than re-arming the full timeout.
     pub fn wait<'e>(
         &self,
         events: &'e mut [EpollEvent],
         timeout_ms: i32,
     ) -> io::Result<&'e [EpollEvent]> {
-        loop {
-            let rc = unsafe {
-                epoll_wait(self.fd, events.as_mut_ptr(), events.len() as i32, timeout_ms)
-            };
-            if rc >= 0 {
-                return Ok(&events[..rc as usize]);
-            }
-            let err = last_errno();
-            if err.raw_os_error() == Some(EINTR) {
-                // Re-check shutdown promptly rather than re-arming the
-                // full timeout.
-                return Ok(&events[..0]);
-            }
-            return Err(err);
+        let rc = unsafe {
+            epoll_wait(self.fd, events.as_mut_ptr(), events.len() as i32, timeout_ms)
+        };
+        if rc >= 0 {
+            return Ok(&events[..rc as usize]);
         }
+        let err = last_errno();
+        if err.raw_os_error() == Some(EINTR) {
+            return Ok(&events[..0]);
+        }
+        Err(err)
     }
 }
 

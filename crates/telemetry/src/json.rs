@@ -1,9 +1,12 @@
-//! A minimal JSON parser for validating emitted run reports.
+//! A minimal JSON parser for validating emitted run reports, and the
+//! workspace's one JSON string escaper.
 //!
 //! The workspace is offline (no serde_json); this covers exactly what the
 //! report consumers need: parse a complete document into a [`Value`] tree
 //! with object key lookup. Numbers are `f64`, strings support the
-//! standard escapes, and trailing garbage is an error.
+//! standard escapes, and trailing garbage is an error. Every JSON writer
+//! in the workspace (run reports, traces, access logs, API responses,
+//! checkpoint journals) escapes string contents with [`escape`].
 
 use std::collections::BTreeMap;
 
@@ -68,6 +71,26 @@ pub fn parse(text: &str) -> Result<Value, String> {
         return Err(format!("trailing characters at byte {pos}"));
     }
     Ok(value)
+}
+
+/// Escape a string for embedding between the quotes of a JSON string
+/// literal: `"` and `\` are backslash-escaped, `\n`/`\r`/`\t` take their
+/// short forms, every other control character below U+0020 becomes
+/// `\u00XX`, and everything else (non-ASCII included) passes through.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
@@ -253,6 +276,26 @@ mod tests {
     fn unicode_escapes_and_multibyte_characters() {
         assert_eq!(parse(r#""é""#).unwrap(), Value::String("é".into()));
         assert_eq!(parse("\"η ≥ ε\"").unwrap(), Value::String("η ≥ ε".into()));
+    }
+
+    #[test]
+    fn specials_are_escaped_and_round_trip() {
+        let cases: [(&str, &str); 9] = [
+            ("plain", "plain"),
+            ("a\"b", "a\\\"b"),
+            ("back\\slash", "back\\\\slash"),
+            ("a\nb", "a\\nb"),
+            ("a\rb", "a\\rb"),
+            ("a\tb", "a\\tb"),
+            ("\u{1}\u{1f}", "\\u0001\\u001f"),
+            ("a\"b\\c\nd", "a\\\"b\\\\c\\nd"),
+            ("η ≥ ε — 🦀", "η ≥ ε — 🦀"),
+        ];
+        for (raw, escaped) in cases {
+            assert_eq!(escape(raw), escaped, "escape({raw:?})");
+            let literal = format!("\"{escaped}\"");
+            assert_eq!(parse(&literal).unwrap(), Value::String(raw.into()), "{literal}");
+        }
     }
 
     #[test]

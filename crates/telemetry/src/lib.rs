@@ -134,6 +134,29 @@ pub fn init_from_env() {
     }
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a 64 over a byte slice: the workspace's one stable hash (cache
+/// keys, snapshot and WAL checksums, fault-decision streams, baseline
+/// draws). Not cryptographic.
+#[inline]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_extend(FNV_OFFSET, bytes)
+}
+
+/// Continue an FNV-1a 64 hash over more bytes:
+/// `fnv1a_extend(fnv1a(a), b) == fnv1a(a ++ b)`. Lets a caller hash
+/// several fields (with its own separators) without concatenating them.
+#[inline]
+pub fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &byte in bytes {
+        hash ^= byte as u64;
+        hash = hash.wrapping_mul(FNV_PRIME);
+    }
+    hash
+}
+
 #[cfg(test)]
 pub(crate) mod test_lock {
     use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -169,6 +192,14 @@ mod tests {
         assert!(snap.gauges.is_empty(), "{snap:?}");
         assert!(snap.histograms.is_empty(), "{snap:?}");
         assert!(snap.spans.is_empty(), "{snap:?}");
+    }
+
+    #[test]
+    fn fnv1a_known_answers() {
+        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
+        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+        assert_eq!(fnv1a_extend(fnv1a(b"foo"), b"bar"), fnv1a(b"foobar"));
     }
 
     #[test]

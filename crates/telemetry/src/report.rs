@@ -18,6 +18,7 @@
 //! so two runs over the same corpus produce structurally identical
 //! documents modulo timing values.
 
+use crate::json::escape;
 use crate::metrics::{registry, BucketLayout, HistogramCore};
 use crate::span::spans;
 use std::sync::atomic::Ordering;
@@ -112,7 +113,7 @@ impl Snapshot {
                 out.push(',');
             }
             out.push_str(&format!(
-                "\n    {{\"path\": {}, \"count\": {}, \"total_ns\": {}, \"mean_ns\": {:.1}}}",
+                "\n    {{\"path\": \"{}\", \"count\": {}, \"total_ns\": {}, \"mean_ns\": {:.1}}}",
                 escape(&s.path),
                 s.count,
                 s.total_ns,
@@ -124,14 +125,14 @@ impl Snapshot {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\n    {{\"name\": {}, \"value\": {value}}}", escape(name)));
+            out.push_str(&format!("\n    {{\"name\": \"{}\", \"value\": {value}}}", escape(name)));
         }
         out.push_str("\n  ],\n  \"gauges\": [");
         for (i, (name, value)) in self.gauges.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\n    {{\"name\": {}, \"value\": {value}}}", escape(name)));
+            out.push_str(&format!("\n    {{\"name\": \"{}\", \"value\": {value}}}", escape(name)));
         }
         out.push_str("\n  ],\n  \"histograms\": [");
         for (i, h) in self.histograms.iter().enumerate() {
@@ -140,7 +141,7 @@ impl Snapshot {
             }
             let buckets: Vec<String> = h.buckets.iter().map(u64::to_string).collect();
             out.push_str(&format!(
-                "\n    {{\"name\": {}, \"count\": {}, \"sum\": {}, \"layout\": \"{}\", \"buckets\": [{}]}}",
+                "\n    {{\"name\": \"{}\", \"count\": {}, \"sum\": {}, \"layout\": \"{}\", \"buckets\": [{}]}}",
                 escape(&h.name),
                 h.count,
                 h.sum,
@@ -151,25 +152,6 @@ impl Snapshot {
         out.push_str("\n  ]\n}\n");
         out
     }
-}
-
-/// JSON string literal with escapes.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Freeze the current telemetry state. Can be taken while disabled (it

@@ -29,6 +29,7 @@
 //! a Chrome `trace_event` document ([`to_chrome_json`]) that loads
 //! directly in Perfetto / `chrome://tracing`.
 
+use crate::json::escape;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -527,22 +528,6 @@ pub fn buffered() -> usize {
 // ---------------------------------------------------------------------
 // Rendering
 // ---------------------------------------------------------------------
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 fn notes_json(notes: &[(&'static str, String)]) -> String {
     let mut out = String::from("{");
